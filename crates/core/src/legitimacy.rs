@@ -74,48 +74,36 @@ pub fn classify(params: RingParams, config: &[SsrState]) -> Option<LegitimateFor
     if config.len() != n {
         return None;
     }
-    if config.iter().any(|s| s.x >= params.k()) {
-        return None;
-    }
-
     // Counter component: all equal (i = 0), or a prefix of i copies of
-    // x+1 followed by n-i copies of x (1 <= i <= n-1).
+    // x+1 followed by n-i copies of x (1 <= i <= n-1). Checking x < K at
+    // P_{n-1} alone suffices: the shape forces every other entry into
+    // {x, x+1 mod K}.
     let x = config[n - 1].x;
+    if x >= params.k() {
+        return None;
+    }
     let upper = params.inc(x);
-    let i = config.iter().take_while(|s| s.x == upper).count();
-    // `i == n` can only happen when K divides into upper == x, impossible
-    // since K >= 2; but for i in 1..n we still must check the tail.
-    if i >= n {
-        return None;
-    }
-    if !config[i..].iter().all(|s| s.x == x) {
-        return None;
-    }
-    if i > 0 && config[..i].iter().any(|s| s.x != upper) {
-        return None;
-    }
-    // When i == 0 the take_while found no upper prefix; all entries are x.
-    debug_assert!(i == 0 || (1..n).contains(&i));
+    // K >= 2, so upper != x = config[n-1].x and the prefix stops before n.
+    let i = config.iter().position(|s| s.x != upper).expect("config[n-1].x != x+1 mod K");
 
-    // Flag component: all ⟨0.0⟩ except at the token position(s).
+    // Flag component: the phase is decided by P_i and P_{i+1}; every other
+    // process must hold ⟨0.0⟩.
     let succ = params.succ(i);
-    let flags_clear_except = |keep: &[usize]| {
-        config.iter().enumerate().all(|(j, s)| keep.contains(&j) || s.flags_are(0, 0))
-    };
-
     let at = config[i];
-    if at.flags_are(0, 1) && flags_clear_except(&[i]) {
-        return Some(LegitimateForm::BothTra { i, x });
-    }
-    if at.flags_are(1, 0) {
-        if flags_clear_except(&[i]) {
-            return Some(LegitimateForm::BothRts { i, x });
-        }
-        if config[succ].flags_are(0, 1) && flags_clear_except(&[i, succ]) {
-            return Some(LegitimateForm::Split { i, x });
-        }
-    }
-    None
+    let (form, partner) = if at.flags_are(0, 1) {
+        (LegitimateForm::BothTra { i, x }, i)
+    } else if !at.flags_are(1, 0) {
+        return None;
+    } else if config[succ].flags_are(0, 1) {
+        (LegitimateForm::Split { i, x }, succ)
+    } else {
+        (LegitimateForm::BothRts { i, x }, i)
+    };
+    let clear = |j: usize, s: &SsrState| j == i || j == partner || s.flags_are(0, 0);
+    // One pass; an illegitimate configuration exits at its first mismatch.
+    let shaped = config[..i].iter().enumerate().all(|(j, s)| clear(j, s))
+        && config[i..].iter().zip(i..).all(|(s, j)| s.x == x && clear(j, s));
+    shaped.then_some(form)
 }
 
 /// True iff `config` is legitimate per Definition 1.

@@ -8,13 +8,25 @@ use crate::trace::{StepRecord, Trace};
 
 /// Drives a [`RingAlgorithm`] under a [`Daemon`].
 ///
-/// The engine owns the current configuration. Each [`Engine::step`]:
+/// The engine owns the current configuration and *maintains* its enabled
+/// set (process + rule tag, ascending by process) across steps. The
+/// maintenance is exact for every algorithm by **guard locality**: a guard
+/// at `P_i` reads only `(own, pred, succ)`, so a move at `i` can change the
+/// guards of `P_{i-1}`, `P_i` and `P_{i+1}` and of no one else. Each
+/// [`Engine::step`]:
 ///
-/// 1. computes the enabled set (process + rule tag),
-/// 2. asks the daemon for a non-empty subset (defensively sanitized),
-/// 3. applies the selected commands *simultaneously* — every mover reads the
-///    pre-step configuration, exactly as the distributed daemon semantics
-///    prescribe.
+/// 1. hands the maintained enabled set to the daemon and takes a non-empty
+///    subset back (defensively sanitized),
+/// 2. applies the selected commands *simultaneously* — every mover's new
+///    state is computed from the pre-step configuration before any is
+///    written, exactly as the distributed daemon semantics prescribe,
+/// 3. re-evaluates the guards of the movers and their two neighbours only,
+///    and merges them into the enabled set in one pass.
+///
+/// A step with `m` movers and `e` enabled processes therefore costs
+/// `O(e + m log m)` rather than `O(n)`; round accounting keeps one
+/// membership bit per process and a count, and touches only movers and
+/// re-evaluated positions (plus `e` when a round completes).
 ///
 /// ```
 /// use ssr_core::{RingAlgorithm, RingParams, SsrMin};
@@ -33,19 +45,55 @@ pub struct Engine<A: RingAlgorithm> {
     steps: u64,
     moves: u64,
     rounds: u64,
-    /// Processes enabled at the start of the current round that have
-    /// neither moved nor been disabled since (standard round accounting).
-    round_pending: Vec<usize>,
+    /// The enabled set of `config`, ascending by process.
+    enabled: Vec<EnabledProcess>,
+    /// `in_round[i]`: `P_i` was enabled at the start of the current round
+    /// and has neither moved nor been disabled since (standard round
+    /// accounting). Always a subset of `enabled`.
+    in_round: Vec<bool>,
+    /// Number of set bits in `in_round`.
+    round_left: usize,
+    /// Scratch buffers reused across steps.
+    new_states: Vec<A::State>,
+    dirty: Vec<usize>,
+    merged: Vec<EnabledProcess>,
 }
 
 impl<A: RingAlgorithm> Engine<A> {
     /// Create an engine positioned at `config` (validated).
     pub fn new(algo: A, config: Config<A::State>) -> ssr_core::Result<Self> {
         algo.validate_config(&config)?;
-        let mut engine =
-            Engine { algo, config, steps: 0, moves: 0, rounds: 0, round_pending: Vec::new() };
-        engine.round_pending = engine.enabled().iter().map(|e| e.process).collect();
+        let mut engine = Engine {
+            algo,
+            config,
+            steps: 0,
+            moves: 0,
+            rounds: 0,
+            enabled: Vec::new(),
+            in_round: Vec::new(),
+            round_left: 0,
+            new_states: Vec::new(),
+            dirty: Vec::new(),
+            merged: Vec::new(),
+        };
+        engine.rebuild();
         Ok(engine)
+    }
+
+    /// Recompute the enabled set from scratch and start a new round from
+    /// it, in one pass over the ring.
+    fn rebuild(&mut self) {
+        let n = self.algo.n();
+        self.enabled.clear();
+        self.in_round.clear();
+        self.in_round.resize(n, false);
+        for i in 0..n {
+            if let Some(r) = self.algo.enabled_rule_in(&self.config, i) {
+                self.enabled.push(EnabledProcess { process: i, rule_tag: self.algo.rule_tag(r) });
+                self.in_round[i] = true;
+            }
+        }
+        self.round_left = self.enabled.len();
     }
 
     /// The algorithm being executed.
@@ -86,19 +134,19 @@ impl<A: RingAlgorithm> Engine<A> {
         self.config = config;
         // The enabled set may have changed arbitrarily; restart the current
         // round from the new configuration.
-        self.round_pending = self.enabled().iter().map(|e| e.process).collect();
+        self.rebuild();
         Ok(())
     }
 
-    /// The enabled set in the current configuration, with rule tags.
-    pub fn enabled(&self) -> Vec<EnabledProcess> {
-        (0..self.algo.n())
-            .filter_map(|i| {
-                self.algo
-                    .enabled_rule_in(&self.config, i)
-                    .map(|r| EnabledProcess { process: i, rule_tag: self.algo.rule_tag(r) })
-            })
-            .collect()
+    /// The enabled set in the current configuration, with rule tags,
+    /// ascending by process.
+    pub fn enabled(&self) -> &[EnabledProcess] {
+        &self.enabled
+    }
+
+    /// The maintained entry for `process`, if it is enabled.
+    fn enabled_entry(&self, process: usize) -> Option<&EnabledProcess> {
+        self.enabled.binary_search_by_key(&process, |e| e.process).ok().map(|k| &self.enabled[k])
     }
 
     /// Execute one scheduler step under `daemon`. Returns the record of the
@@ -106,49 +154,90 @@ impl<A: RingAlgorithm> Engine<A> {
     /// for SSRmin by Lemma 4, but baselines and broken configurations are
     /// first-class citizens here).
     pub fn step<D: Daemon + ?Sized>(&mut self, daemon: &mut D) -> Option<StepRecord> {
-        let enabled = self.enabled();
-        if enabled.is_empty() {
+        if self.enabled.is_empty() {
             return None;
         }
-        let mut picked = daemon.select(&enabled, self.steps);
+        let mut picked = daemon.select(&self.enabled, self.steps);
         // Defensive sanitation: drop non-enabled picks and duplicates, fall
         // back to the first enabled process if nothing valid remains.
-        picked.retain(|p| enabled.iter().any(|e| e.process == *p));
         picked.sort_unstable();
         picked.dedup();
-        if picked.is_empty() {
-            picked.push(enabled[0].process);
+        let mut movers: Vec<(usize, u8)> =
+            picked.iter().filter_map(|&p| self.enabled_entry(p).map(|e| (p, e.rule_tag))).collect();
+        if movers.is_empty() {
+            movers.push((self.enabled[0].process, self.enabled[0].rule_tag));
         }
 
-        let movers: Vec<(usize, u8)> = picked
-            .iter()
-            .map(|&p| {
-                let tag = enabled
-                    .iter()
-                    .find(|e| e.process == p)
-                    .expect("picked is a subset of enabled")
-                    .rule_tag;
-                (p, tag)
-            })
-            .collect();
-
-        self.config =
-            self.algo.step_set(&self.config, &picked).expect("picked processes are enabled");
+        // Composite atomicity: every mover reads the pre-step configuration,
+        // then all writes land together.
+        self.new_states.clear();
+        for &(p, _) in &movers {
+            let (own, pred, succ) = self.algo.view(&self.config, p);
+            let rule = self.algo.enabled_rule(p, own, pred, succ).expect("movers are enabled");
+            self.new_states.push(self.algo.execute(p, rule, own, pred, succ));
+        }
+        for (&(p, _), state) in movers.iter().zip(self.new_states.drain(..)) {
+            self.config[p] = state;
+        }
         self.steps += 1;
-        self.moves += picked.len() as u64;
+        self.moves += movers.len() as u64;
 
-        // Round accounting: drop movers and now-disabled processes from the
-        // pending set; when it drains, a round completed and the next one
-        // starts from the processes enabled *now*.
-        self.round_pending.retain(|p| {
-            !picked.contains(p) && self.algo.enabled_rule_in(&self.config, *p).is_some()
-        });
-        if self.round_pending.is_empty() {
+        // Guard locality: only movers and their neighbours can have changed
+        // enabledness.
+        let n = self.algo.n();
+        self.dirty.clear();
+        for &(p, _) in &movers {
+            self.dirty.extend([if p == 0 { n - 1 } else { p - 1 }, p, (p + 1) % n]);
+            if self.in_round[p] {
+                self.in_round[p] = false;
+                self.round_left -= 1;
+            }
+        }
+        self.dirty.sort_unstable();
+        self.dirty.dedup();
+        self.merge_dirty();
+
+        // Round accounting: when the pending set drains, a round completed
+        // and the next one starts from the processes enabled *now*.
+        if self.round_left == 0 {
             self.rounds += 1;
-            self.round_pending = self.enabled().iter().map(|e| e.process).collect();
+            for e in &self.enabled {
+                self.in_round[e.process] = true;
+            }
+            self.round_left = self.enabled.len();
         }
 
         Some(StepRecord { step: self.steps, movers })
+    }
+
+    /// Re-evaluate the guards at the (sorted, distinct) `dirty` positions
+    /// and merge the results into `enabled` in one pass: runs of untouched
+    /// entries are copied wholesale, dirty entries are replaced by their new
+    /// verdict. A dirty position that left the enabled set also leaves the
+    /// current round.
+    fn merge_dirty(&mut self) {
+        self.merged.clear();
+        let mut rest = &self.enabled[..];
+        for &q in &self.dirty {
+            let k = rest.partition_point(|e| e.process < q);
+            self.merged.extend_from_slice(&rest[..k]);
+            rest = &rest[k..];
+            if rest.first().is_some_and(|e| e.process == q) {
+                rest = &rest[1..];
+            }
+            match self.algo.enabled_rule_in(&self.config, q) {
+                Some(r) => {
+                    self.merged.push(EnabledProcess { process: q, rule_tag: self.algo.rule_tag(r) })
+                }
+                None if self.in_round[q] => {
+                    self.in_round[q] = false;
+                    self.round_left -= 1;
+                }
+                None => {}
+            }
+        }
+        self.merged.extend_from_slice(rest);
+        std::mem::swap(&mut self.enabled, &mut self.merged);
     }
 
     /// Run up to `max_steps` steps or until deadlock; returns all records.
