@@ -1,4 +1,25 @@
 //! Simulation time, delay models, and the deterministic event queue.
+//!
+//! [`EventQueue`] pops in exact `(time, insertion order)` order at O(1) per
+//! event for everything due within 64 ticks of the last pop, which is where
+//! the CST simulator's link delays, dwell times and gossip timers land:
+//!
+//! - **Bucket/heap split.** A 64-slot timing wheel holds events due in
+//!   `[cursor, cursor + 64)`, one tick per bucket, where the cursor is the
+//!   time of the last pop. Later events (netem latencies in µs, long timer
+//!   intervals, scheduled corruptions) go to a far `BinaryHeap` and cost
+//!   what a heap costs.
+//! - **Tie rule.** On equal times the heap pops first. A heap entry for
+//!   tick t was pushed while the cursor was at most t − 64; the cursor only
+//!   grows, so every bucket entry for t came later and has a larger
+//!   sequence number.
+//! - **Slab.** The 64 bucket FIFOs are intrusive lists in one shared slab
+//!   with a free list, so their memory is the peak count of near events
+//!   rather than 64 separately grown buffers.
+//!
+//! `snapshot`/`from_snapshot` are independent of the split: a snapshot is
+//! the pending `(at, seq, kind)` list in pop order, and a restored queue
+//! starts its cursor at 0.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -92,12 +113,57 @@ impl PartialOrd for Entry {
     }
 }
 
+/// Ticks covered by the wheel: an event due less than this far after the
+/// cursor goes into a bucket, anything later into the far heap.
+const WHEEL: u64 = 64;
+/// End-of-list marker in the slab.
+const NIL: u32 = u32::MAX;
+
+/// One bucket entry in the shared slab; `next` links the bucket's FIFO (or
+/// the free list). The time is not stored: the bucket fixes it.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    seq: u64,
+    kind: EventKind,
+    next: u32,
+}
+
 /// A deterministic event queue: events pop in `(time, insertion order)`
 /// order, so two runs with the same seed replay identically.
-#[derive(Debug, Default)]
+///
+/// A 64-tick timing wheel in front of a far heap (see the module docs for
+/// the split, the tie rule and the slab). Because the wheel spans exactly
+/// 64 ticks from the cursor, each bucket holds a single tick, and the
+/// occupancy mask rotated by the cursor finds the earliest one in O(1).
+#[derive(Debug)]
 pub struct EventQueue {
-    heap: BinaryHeap<Reverse<Entry>>,
+    slab: Vec<Slot>,
+    /// Head of the free-slot list in `slab`.
+    free: u32,
+    /// `(head, tail)` slab indices of each bucket's FIFO.
+    buckets: [(u32, u32); WHEEL as usize],
+    /// Bit `b` set iff bucket `b` is non-empty.
+    occupied: u64,
+    /// Entries in the buckets.
+    near: usize,
+    far: BinaryHeap<Reverse<Entry>>,
+    cursor: Time,
     seq: u64,
+}
+
+impl Default for EventQueue {
+    fn default() -> Self {
+        EventQueue {
+            slab: Vec::new(),
+            free: NIL,
+            buckets: [(NIL, NIL); WHEEL as usize],
+            occupied: 0,
+            near: 0,
+            far: BinaryHeap::new(),
+            cursor: 0,
+            seq: 0,
+        }
+    }
 }
 
 impl EventQueue {
@@ -110,27 +176,101 @@ impl EventQueue {
     pub fn push(&mut self, at: Time, kind: EventKind) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Reverse(Entry { at, seq, kind }));
+        self.insert(Entry { at, seq, kind });
+    }
+
+    fn insert(&mut self, entry: Entry) {
+        // Events before the cursor (never scheduled by the simulator, but
+        // allowed) fall through to the heap, which still pops them first.
+        if entry.at < self.cursor || entry.at - self.cursor >= WHEEL {
+            self.far.push(Reverse(entry));
+            return;
+        }
+        let slot = Slot { seq: entry.seq, kind: entry.kind, next: NIL };
+        let idx = if self.free == NIL {
+            self.slab.push(slot);
+            u32::try_from(self.slab.len() - 1).expect("fewer than 2^32 near events")
+        } else {
+            let idx = self.free;
+            self.free = self.slab[idx as usize].next;
+            self.slab[idx as usize] = slot;
+            idx
+        };
+        let b = (entry.at % WHEEL) as usize;
+        match self.buckets[b] {
+            (NIL, _) => {
+                self.buckets[b] = (idx, idx);
+                self.occupied |= 1 << b;
+            }
+            (_, tail) => {
+                self.slab[tail as usize].next = idx;
+                self.buckets[b].1 = idx;
+            }
+        }
+        self.near += 1;
+    }
+
+    /// Tick of the earliest non-empty bucket.
+    fn near_time(&self) -> Option<Time> {
+        (self.occupied != 0).then(|| {
+            let offset = self.occupied.rotate_right((self.cursor % WHEEL) as u32).trailing_zeros();
+            self.cursor + Time::from(offset)
+        })
+    }
+
+    /// The tick bucket `b` holds: the one in `[cursor, cursor + 64)` that is
+    /// `b` modulo 64.
+    fn bucket_time(&self, b: usize) -> Time {
+        self.cursor + (b as Time + WHEEL - self.cursor % WHEEL) % WHEEL
     }
 
     /// Pop the earliest event, if any.
     pub fn pop(&mut self) -> Option<(Time, EventKind)> {
-        self.heap.pop().map(|Reverse(e)| (e.at, e.kind))
+        let near = self.near_time();
+        let from_far = match (near, self.far.peek()) {
+            (None, None) => return None,
+            (Some(t), Some(Reverse(f))) => f.at <= t,
+            (near, _) => near.is_none(),
+        };
+        let entry = if from_far {
+            self.far.pop().expect("peeked").0
+        } else {
+            let at = near.expect("checked");
+            let b = (at % WHEEL) as usize;
+            let idx = self.buckets[b].0;
+            let slot = self.slab[idx as usize];
+            if slot.next == NIL {
+                self.buckets[b] = (NIL, NIL);
+                self.occupied &= !(1 << b);
+            } else {
+                self.buckets[b].0 = slot.next;
+            }
+            self.slab[idx as usize].next = self.free;
+            self.free = idx;
+            self.near -= 1;
+            Entry { at, seq: slot.seq, kind: slot.kind }
+        };
+        self.cursor = self.cursor.max(entry.at);
+        Some((entry.at, entry.kind))
     }
 
     /// Earliest scheduled time without popping.
     pub fn peek_time(&self) -> Option<Time> {
-        self.heap.peek().map(|Reverse(e)| e.at)
+        let far = self.far.peek().map(|Reverse(e)| e.at);
+        match (self.near_time(), far) {
+            (Some(n), Some(f)) => Some(n.min(f)),
+            (n, f) => n.or(f),
+        }
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.near + self.far.len()
     }
 
     /// True iff nothing is scheduled.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.len() == 0
     }
 
     /// Pending entries as `(at, seq, kind)` sorted in pop order, plus the
@@ -138,8 +278,16 @@ impl EventQueue {
     /// queue rebuilt from this snapshot pops identically to the original,
     /// including ties.
     pub fn snapshot(&self) -> (Vec<(Time, u64, EventKind)>, u64) {
-        let mut entries: Vec<_> =
-            self.heap.iter().map(|Reverse(e)| (e.at, e.seq, e.kind)).collect();
+        let mut entries = Vec::with_capacity(self.len());
+        for (b, &(mut idx, _)) in self.buckets.iter().enumerate() {
+            let at = self.bucket_time(b);
+            while idx != NIL {
+                let Slot { seq, kind, next } = self.slab[idx as usize];
+                entries.push((at, seq, kind));
+                idx = next;
+            }
+        }
+        entries.extend(self.far.iter().map(|Reverse(e)| (e.at, e.seq, e.kind)));
         entries.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
         (entries, self.seq)
     }
@@ -147,11 +295,16 @@ impl EventQueue {
     /// Rebuild a queue from [`EventQueue::snapshot`] output. `next_seq`
     /// must be greater than every restored entry's sequence number so that
     /// post-restore pushes keep losing ties to checkpointed events, exactly
-    /// as they would have in the original run.
-    pub fn from_snapshot(entries: Vec<(Time, u64, EventKind)>, next_seq: u64) -> Self {
-        let heap =
-            entries.into_iter().map(|(at, seq, kind)| Reverse(Entry { at, seq, kind })).collect();
-        EventQueue { heap, seq: next_seq }
+    /// as they would have in the original run. The rebuilt queue's cursor
+    /// is 0.
+    pub fn from_snapshot(mut entries: Vec<(Time, u64, EventKind)>, next_seq: u64) -> Self {
+        // Bucket FIFOs must receive each tick's entries in `seq` order.
+        entries.sort_unstable_by_key(|&(at, seq, _)| (at, seq));
+        let mut queue = EventQueue { seq: next_seq, ..EventQueue::default() };
+        for (at, seq, kind) in entries {
+            queue.insert(Entry { at, seq, kind });
+        }
+        queue
     }
 }
 

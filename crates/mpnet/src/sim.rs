@@ -117,6 +117,9 @@ pub struct CstSim<A: RingAlgorithm> {
     /// `cache_ok[i] = [pred entry coherent, succ entry coherent]`.
     cache_ok: Vec<[bool; 2]>,
     bad_entries: usize,
+    /// Definition 1 legitimacy of the ground configuration, kept current by
+    /// `rebuild_counters` and `on_own_changed` (the only places own states
+    /// change).
     ground_legit: bool,
     /// Per-link delay overrides (indexed like `links`); `None` = global model.
     link_delay: Vec<Option<DelayModel>>,
@@ -225,7 +228,9 @@ impl<A: RingAlgorithm> CstSim<A> {
     }
 
     /// Full recomputation of the incremental observation counters (used at
-    /// construction; every later event updates them in O(1)).
+    /// construction, re-splice and restore; later events update them in
+    /// O(1), except `ground_legit`, which `on_own_changed` recomputes in O(n)
+    /// on every own-state change).
     fn rebuild_counters(&mut self) {
         let n = self.algo.n();
         self.priv_count = 0;
@@ -630,13 +635,17 @@ impl<A: RingAlgorithm> CstSim<A> {
     /// event boundary would be vacuous — what stabilization means here is
     /// that the real configuration entered the legitimate cycle and stopped
     /// leaving it.
+    ///
+    /// Ground legitimacy is read from the flag the simulator maintains
+    /// wherever an own state changes (a rule firing or a corruption, and the
+    /// full rebuild at construction, re-splice and restore), so checking it
+    /// after every event costs O(1).
     pub fn run_until_stably_legitimate(
         &mut self,
         t_max: Time,
         stable_window: Time,
     ) -> Option<Time> {
-        let mut legit_since: Option<Time> =
-            self.algo.is_legitimate(&self.ground_config()).then_some(self.now);
+        let mut legit_since: Option<Time> = self.ground_legit.then_some(self.now);
         loop {
             if let Some(since) = legit_since {
                 if self.now.saturating_sub(since) >= stable_window {
@@ -653,7 +662,7 @@ impl<A: RingAlgorithm> CstSim<A> {
             self.dispatch(kind);
             self.events_processed += 1;
             self.record_sample();
-            if self.algo.is_legitimate(&self.ground_config()) {
+            if self.ground_legit {
                 legit_since.get_or_insert(self.now);
             } else {
                 legit_since = None;
